@@ -18,8 +18,8 @@ Run with ``pytest benchmarks/bench_model_selection.py``.
 
 from __future__ import annotations
 
+import importlib.util
 import json
-import os
 import time
 from pathlib import Path
 
@@ -34,7 +34,8 @@ from repro.ml import (
     LogisticRegressionClassifier,
 )
 
-ARTIFACT = Path(__file__).parent.parent / "BENCH_models.json"
+ROOT = Path(__file__).resolve().parent.parent
+ARTIFACT = ROOT / "BENCH_models.json"
 
 #: The timed tuning workloads. Grid widths mirror realistic sweeps —
 #: wider than the paper's study grids, which share too little for the
@@ -70,10 +71,22 @@ def _bench_data(n: int = N_ROWS, d: int = N_FEATURES, seed: int = 0):
     return X, y
 
 
+def _environment_stamp() -> dict:
+    """The end-to-end benchmark's stamp: usable cores, CPU, library
+    versions, OpenBLAS builds and threads, ``*_NUM_THREADS`` variables."""
+    spec = importlib.util.spec_from_file_location(
+        "envstamp", ROOT / "perfbench" / "envstamp.py"
+    )
+    envstamp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(envstamp)
+    return envstamp.environment_stamp()
+
+
 def _merge_artifact(update: dict) -> None:
     payload = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
     payload.update(update)
-    payload["cpu_count"] = os.cpu_count()
+    payload.pop("cpu_count", None)  # superseded by the environment stamp
+    payload["environment"] = _environment_stamp()
     payload["config"] = {
         "n_rows": N_ROWS,
         "n_features": N_FEATURES,

@@ -92,27 +92,25 @@ class GradientBoostedTreesClassifier(BaseClassifier):
             np.full(X_eval.shape[0], self._base_logit) if X_eval is not None else None
         )
         snapshots: dict[int, np.ndarray] = {}
-        scope = incremental.active()
-        shared_orders: "list[np.ndarray] | None" = None
-        if scope is not None and self.subsample == 1.0:
+        shared_orders: np.ndarray | None = None
+        if self.subsample == 1.0:
             # without subsampling every round's tree sorts the same X:
             # the presort is a pure function of its bytes, so one
             # computation serves all rounds — and, via the scope memo,
             # every other fit on a byte-equal matrix (other grid shape
             # groups on the same fold, other versions sharing features)
-            shared_orders = scope.memo(
-                "tree_presort", (X,), (), lambda: presort_orders(X)
-            )
+            scope = incremental.active()
+            if scope is None:
+                shared_orders = presort_orders(X)
+            else:
+                shared_orders = scope.memo(
+                    "tree_presort", (X,), (), lambda: presort_orders(X)
+                )
         self._trees = []
         for round_index in range(n_rounds):
             p = _sigmoid(logits)
             gradients = p - y_float
             hessians = np.maximum(p * (1.0 - p), 1e-6)
-            if self.subsample < 1.0:
-                n_rows = max(1, int(round(self.subsample * X.shape[0])))
-                rows = rng.choice(X.shape[0], size=n_rows, replace=False)
-            else:
-                rows = np.arange(X.shape[0])
             tree = _GradientTree(
                 max_depth=self.max_depth,
                 lam=self.reg_lambda,
@@ -120,13 +118,15 @@ class GradientBoostedTreesClassifier(BaseClassifier):
                 min_split_gain=0.0,
             )
             if shared_orders is not None:
-                # rows is arange here: X[rows] would be a byte-equal
-                # copy of X, so fitting on X with the shared presort is
-                # bit-identical while skipping the copy and the sorts
-                tree.fit(X, gradients, hessians, orders=shared_orders)
+                # every row trains: fitting X itself with the shared
+                # presort is bit-identical to fitting a copy, and the
+                # fit's in-sample leaf values are predict(X) bit for bit
+                update = tree.fit(X, gradients, hessians, orders=shared_orders)
             else:
+                n_rows = max(1, int(round(self.subsample * X.shape[0])))
+                rows = rng.choice(X.shape[0], size=n_rows, replace=False)
                 tree.fit(X[rows], gradients[rows], hessians[rows])
-            update = tree.predict(X)
+                update = tree.predict(X)
             logits = logits + self.learning_rate * update
             self._trees.append(tree)
             if eval_logits is not None:

@@ -6,13 +6,20 @@ second-order gain rule used by gradient-boosting libraries:
     gain = 1/2 [ G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam) ]
     leaf value = -G / (H + lam)
 
-Split finding presorts every feature once at the root (stable
-mergesort) and filters the sorted index lists down the tree: filtering
-a stable order by a membership mask *is* the stable sort of the
-subset, so each node reuses the root ordering instead of re-sorting —
-O(n) per node and feature rather than O(n log n) — while producing
-bit-for-bit the same splits, thresholds and leaf values as sorting at
-every node.
+Split search is one kernel over all features at once. The root presort
+is a ``(d, n)`` matrix of per-column stable (mergesort) orders, and
+every node carries it together with the matching sorted-value matrix.
+A split partitions both into the children with one 2-D membership mask:
+filtering a stable order by a mask *is* the stable sort of the subset,
+so no node re-sorts or gathers from ``X``. Per node, one axis-1
+``cumsum`` each of gradients and hessians gives every feature's
+left-child sums (each row accumulates sequentially, in the same order
+as a per-feature ``cumsum``); gains are evaluated only at positions
+where the sorted value changes, laid out feature-major, and one global
+first ``argmax`` picks the split. That argmax equals a per-feature
+first argmax followed by a strict ``>`` pick across features, so the
+splits, thresholds and leaf values are bit-for-bit those of the
+per-feature search (DESIGN.md §16).
 
 :class:`DecisionTreeRegressor` exposes the squared-error special case
 (g = -y, h = 1, leaf = mean of y) as a standalone public estimator;
@@ -29,16 +36,15 @@ import numpy as np
 from repro.ml.base import BaseEstimator
 
 
-def presort_orders(X: np.ndarray) -> "list[np.ndarray]":
-    """Per-column stable sort orders of ``X`` — the root presort.
+def presort_orders(X: np.ndarray) -> np.ndarray:
+    """Per-column stable sort orders of ``X`` as one ``(d, n)`` matrix.
 
-    Deterministic (mergesort) and a pure function of ``X``'s bytes,
-    which is what makes the orders shareable across trees, grid
-    candidates and dataset versions with byte-equal matrices.
+    Row ``f`` is ``np.argsort(X[:, f], kind="mergesort")``. A stable
+    order is unique, so this is a pure function of ``X``'s bytes, which
+    is what makes the orders shareable across trees, grid candidates
+    and dataset versions with byte-equal matrices.
     """
-    return [
-        np.argsort(X[:, feature], kind="mergesort") for feature in range(X.shape[1])
-    ]
+    return np.argsort(X.T, axis=1, kind="mergesort")
 
 
 @dataclass
@@ -57,116 +63,122 @@ class _Node:
 
 
 def _best_split(
-    X: np.ndarray,
     gradients: np.ndarray,
     hessians: np.ndarray,
-    rows: np.ndarray,
-    orders: "list[np.ndarray]",
+    total_g: float,
+    total_h: float,
+    orders: np.ndarray,
+    values: np.ndarray,
     lam: float,
     min_child_weight: float,
 ) -> tuple[int, float, float] | None:
     """Return ``(feature, threshold, gain)`` of the best split, or None.
 
-    ``rows`` holds the node's row indices in original relative order
-    (the summation order of the parent totals); ``orders[f]`` holds
-    the same rows stably sorted by feature ``f``.
+    ``orders[f]`` holds the node's rows stably sorted by feature ``f``
+    and ``values[f]`` the matching sorted values of that feature;
+    ``total_g`` / ``total_h`` are the node sums over its rows in their
+    original relative order.
     """
-    total_g = gradients[rows].sum()
-    total_h = hessians[rows].sum()
+    # candidate split after position i (left = first i+1 examples),
+    # only where the value actually changes; flat indices into the
+    # (features x rows) layout, so the candidates come out feature-major
+    n_rows = values.shape[1]
+    changes = np.zeros(values.shape, dtype=bool)
+    np.less(values[:, :-1], values[:, 1:], out=changes[:, :-1])
+    candidates = changes.ravel().nonzero()[0]
+    if candidates.size == 0:
+        return None
+    g_left = gradients.take(orders).cumsum(axis=1).take(candidates)
+    h_left = hessians.take(orders).cumsum(axis=1).take(candidates)
+    g_right = total_g - g_left
+    h_right = total_h - h_left
+    valid = (h_left >= min_child_weight) & (h_right >= min_child_weight)
+    if not valid.any():
+        return None
     parent_score = total_g**2 / (total_h + lam)
-    best: tuple[int, float, float] | None = None
-    for feature, order in enumerate(orders):
-        sorted_values = X[order, feature]
-        g_cum = np.cumsum(gradients[order])
-        h_cum = np.cumsum(hessians[order])
-        # candidate split after position i (left = first i+1 examples);
-        # only valid where the value actually changes
-        boundaries = np.nonzero(sorted_values[:-1] < sorted_values[1:])[0]
-        if boundaries.size == 0:
-            continue
-        g_left = g_cum[boundaries]
-        h_left = h_cum[boundaries]
-        g_right = total_g - g_left
-        h_right = total_h - h_left
-        valid = (h_left >= min_child_weight) & (h_right >= min_child_weight)
-        if not valid.any():
-            continue
-        gains = (
-            g_left**2 / (h_left + lam)
-            + g_right**2 / (h_right + lam)
-            - parent_score
-        )
-        gains[~valid] = -np.inf
-        pick = int(np.argmax(gains))
-        gain = float(gains[pick]) / 2.0
-        if gain <= 0:
-            continue
-        boundary = boundaries[pick]
-        threshold = float(
-            (sorted_values[boundary] + sorted_values[boundary + 1]) / 2.0
-        )
-        if best is None or gain > best[2]:
-            best = (feature, threshold, gain)
-    return best
+    gains = (
+        g_left**2 / (h_left + lam)
+        + g_right**2 / (h_right + lam)
+        - parent_score
+    )
+    gains[~valid] = -np.inf
+    pick = int(np.argmax(gains))
+    gain = float(gains[pick]) / 2.0
+    if gain <= 0:
+        return None
+    feature, position = divmod(int(candidates[pick]), n_rows)
+    threshold = float(
+        (values[feature, position] + values[feature, position + 1]) / 2.0
+    )
+    return feature, threshold, gain
 
 
 def _build(
-    X: np.ndarray,
     gradients: np.ndarray,
     hessians: np.ndarray,
     rows: np.ndarray,
-    orders: "list[np.ndarray]",
+    orders: np.ndarray,
+    values: np.ndarray,
     in_left: np.ndarray,
+    leaf_values: np.ndarray,
     depth: int,
     max_depth: int,
     lam: float,
     min_child_weight: float,
     min_split_gain: float,
 ) -> _Node:
-    node_g = gradients[rows]
-    node_h = hessians[rows]
-    value = float(-node_g.sum() / (node_h.sum() + lam))
-    if depth >= max_depth or rows.shape[0] < 2:
-        return _Node(feature=-1, threshold=0.0, value=value)
-    split = _best_split(X, gradients, hessians, rows, orders, lam, min_child_weight)
+    """Grow the subtree over ``rows`` (ascending), writing leaf values.
+
+    Every training row's leaf value lands in ``leaf_values`` — the
+    in-sample prediction, which a caller would otherwise recompute by
+    routing the training matrix through the fitted tree.
+    """
+    total_g = gradients[rows].sum()
+    total_h = hessians[rows].sum()
+    value = float(-total_g / (total_h + lam))
+    split = None
+    if depth < max_depth and rows.shape[0] >= 2:
+        split = _best_split(
+            gradients, hessians, total_g, total_h, orders, values, lam,
+            min_child_weight,
+        )
     if split is None or split[2] < min_split_gain:
+        leaf_values[rows] = value
         return _Node(feature=-1, threshold=0.0, value=value)
     feature, threshold, __ = split
-    goes_left = X[rows, feature] <= threshold
+    # values[feature] is sorted, so the rows going left (value <=
+    # threshold, the comparison prediction uses) are a prefix of
+    # orders[feature]
+    n_left = int(values[feature].searchsorted(threshold, side="right"))
+    # in_left is a scratch buffer shared by the whole tree: it is
+    # cleared again before recursing, after member has copied out this
+    # node's (features x rows) membership mask
+    in_left[orders[feature, :n_left]] = True
+    member = in_left.take(orders).ravel()
+    goes_left = in_left[rows]
     left_rows = rows[goes_left]
     right_rows = rows[~goes_left]
-    # membership scratch buffer: valid only until the recursive calls,
-    # so both children's orders are materialised first
-    in_left[left_rows] = True
-    left_orders = [order[in_left[order]] for order in orders]
-    right_orders = [order[~in_left[order]] for order in orders]
     in_left[left_rows] = False
-    left = _build(
-        X,
-        gradients,
-        hessians,
-        left_rows,
-        left_orders,
-        in_left,
-        depth + 1,
-        max_depth,
-        lam,
-        min_child_weight,
-        min_split_gain,
-    )
-    right = _build(
-        X,
-        gradients,
-        hessians,
-        right_rows,
-        right_orders,
-        in_left,
-        depth + 1,
-        max_depth,
-        lam,
-        min_child_weight,
-        min_split_gain,
-    )
+    n_features = orders.shape[0]
+
+    def grow(child_rows: np.ndarray, keep: np.ndarray) -> _Node:
+        return _build(
+            gradients,
+            hessians,
+            child_rows,
+            orders.compress(keep).reshape(n_features, -1),
+            values.compress(keep).reshape(n_features, -1),
+            in_left,
+            leaf_values,
+            depth + 1,
+            max_depth,
+            lam,
+            min_child_weight,
+            min_split_gain,
+        )
+
+    left = grow(left_rows, member)
+    right = grow(right_rows, ~member)
     return _Node(feature=feature, threshold=threshold, value=value, left=left, right=right)
 
 
@@ -201,33 +213,38 @@ class _GradientTree:
         X: np.ndarray,
         gradients: np.ndarray,
         hessians: np.ndarray,
-        orders: "list[np.ndarray] | None" = None,
-    ) -> "_GradientTree":
-        """Fit the tree; ``orders`` optionally supplies the root presort.
+        orders: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Fit the tree and return each training row's leaf value.
 
-        The presort is a pure function of ``X`` (stable argsort per
-        column), so a caller fitting many trees on the same matrix —
-        the boosting loop — may compute it once and pass it in. The
-        lists are only read here (each node materialises filtered
-        copies), never mutated.
+        ``orders`` optionally supplies the root presort. It is a pure
+        function of ``X`` (:func:`presort_orders`), so a caller fitting
+        many trees on the same matrix (the boosting loop) may compute
+        it once and pass it in; it is only read here (each node
+        materialises filtered copies), never mutated. The returned
+        in-sample predictions equal ``predict(X)`` bit for bit: a row's
+        leaf is found by the same ``<=`` comparisons on the same values.
         """
-        rows = np.arange(X.shape[0])
+        n_rows, n_features = X.shape
         if orders is None:
             orders = presort_orders(X)
+        values = X[orders, np.arange(n_features)[:, None]]
+        leaf_values = np.empty(n_rows, dtype=np.float64)
         self._root = _build(
-            X,
             gradients,
             hessians,
-            rows,
+            np.arange(n_rows),
             orders,
-            np.zeros(X.shape[0], dtype=bool),
+            values,
+            np.zeros(n_rows, dtype=bool),
+            leaf_values,
             depth=0,
             max_depth=self._max_depth,
             lam=self._lam,
             min_child_weight=self._min_child_weight,
             min_split_gain=self._min_split_gain,
         )
-        return self
+        return leaf_values
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._root is None:
@@ -287,7 +304,8 @@ class DecisionTreeRegressor(BaseEstimator):
             lam=0.0,
             min_child_weight=float(self.min_samples_leaf),
             min_split_gain=self.min_split_gain,
-        ).fit(X, -y, np.ones_like(y))
+        )
+        self._tree.fit(X, -y, np.ones_like(y))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -258,9 +258,34 @@ def test_presort_orders_match_per_round_argsorts(seed):
     rng = np.random.default_rng(seed)
     X = rng.choice([-3.0, 0.0, 0.0, 1.0, 4.0], size=(30, 4))
     orders = presort_orders(X)
+    # one (features x rows) matrix whose row f is column f's stable order
+    assert orders.shape == (X.shape[1], X.shape[0])
     for feature in range(X.shape[1]):
         expected = np.argsort(X[:, feature], kind="mergesort")
         assert np.array_equal(orders[feature], expected)
+
+
+def test_presort_shared_across_rounds_without_scope(monkeypatch):
+    """Without subsampling one presort serves every round, scope or not;
+    with subsampling each round sorts its own sample."""
+    from repro.ml import boosting
+
+    calls = []
+
+    def counting_presort(X):
+        calls.append(X.shape)
+        return presort_orders(X)
+
+    monkeypatch.setattr(boosting, "presort_orders", counting_presort)
+    rng = np.random.default_rng(11)
+    X = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(40, 3))
+    y = (rng.random(40) > 0.5).astype(np.int64)
+    assert incremental.active() is None
+    GradientBoostedTreesClassifier(n_estimators=6, max_depth=2).fit(X, y)
+    assert calls == [X.shape]
+    calls.clear()
+    GradientBoostedTreesClassifier(n_estimators=6, max_depth=2, subsample=0.5).fit(X, y)
+    assert calls == []
 
 
 @SETTINGS
