@@ -25,12 +25,11 @@ from repro import (
     DeepDive,
     DisparityAnalysis,
     ExperimentRunner,
-    ImpactAnalysis,
     StudyConfig,
     dataset_definition,
     load_dataset,
 )
-from repro.benchmark import ResultStore
+from repro.benchmark import ImpactMatrix, ResultStore
 from repro.reporting import (
     render_case_counts,
     render_dataset_table,
@@ -38,6 +37,7 @@ from repro.reporting import (
     render_impact_matrix,
     render_model_table,
 )
+from repro.reporting.report import model_choice_impacts, study_impacts
 
 
 def _positive_int(value: str) -> int:
@@ -170,23 +170,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if len(store) == 0:
         print(f"store {args.store} is empty; run `python -m repro study` first")
         return 1
-    analysis = ImpactAnalysis(store)
-    numbering = {
-        ("missing_values", "PP", False): "II",
-        ("missing_values", "EO", False): "III",
-        ("missing_values", "PP", True): "IV",
-        ("missing_values", "EO", True): "V",
-        ("outliers", "PP", False): "VI",
-        ("outliers", "EO", False): "VII",
-        ("outliers", "PP", True): "VIII",
-        ("outliers", "EO", True): "IX",
-        ("mislabels", "PP", False): "X",
-        ("mislabels", "EO", False): "XI",
-        ("mislabels", "PP", True): "XII",
-        ("mislabels", "EO", True): "XIII",
-    }
-    for (error_type, metric, intersectional), number in numbering.items():
-        matrix = analysis.matrix(error_type, metric, intersectional=intersectional)
+    rows = study_impacts(store)
+    for number, error_type, metric, intersectional, impacts in rows:
+        matrix = ImpactMatrix.from_impacts(impacts)
         if matrix.total == 0:
             continue
         group = "INTERSECTIONAL" if intersectional else "SINGLE-ATTRIBUTE"
@@ -197,12 +183,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
             )
         )
         print()
-    impacts = []
-    for error_type in ("missing_values", "outliers", "mislabels"):
-        for metric in ("PP", "EO"):
-            impacts.extend(
-                analysis.configuration_impacts(error_type, metric, intersectional=False)
-            )
+    impacts = model_choice_impacts(rows)
     if impacts:
         deepdive = DeepDive(impacts)
         print(render_model_table(deepdive.model_summaries(), "TABLE XIV: MODELS"))

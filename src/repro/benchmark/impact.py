@@ -7,11 +7,17 @@ baseline and the cleaned variant over all runs, classify the impact on
 accuracy and on fairness with paired t-tests (Bonferroni-adjusted),
 and aggregate configurations into the fairness-impact × accuracy-impact
 contingency matrices of Tables II–XIII.
+
+One pass per error type classifies every configuration for every
+fairness metric and group kind at once (:meth:`ImpactAnalysis.classify`);
+the per-table queries filter its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -19,9 +25,9 @@ from repro.benchmark.results import ResultStore, RunRecord
 from repro.fairness.confusion import (
     confusion_from_store_keys,
     group_key_fragments,
+    group_keys_in_metrics,
 )
 from repro.fairness.metrics import FAIRNESS_METRICS, FairnessMetric
-from repro.ml.metrics import ConfusionMatrix
 from repro.stats.impact import Impact, classify_impact
 
 #: Number of simultaneous (detection, repair) hypotheses per error type,
@@ -35,24 +41,13 @@ HYPOTHESES_PER_ERROR_TYPE = {
 _IMPACT_ORDER = (Impact.WORSE, Impact.INSIGNIFICANT, Impact.BETTER)
 
 
-def _group_fragments(group_key: str) -> tuple[str, str]:
-    """Result-store key fragments for a group spec key."""
-    return group_key_fragments(group_key)
-
-
-def _confusion_from_metrics(
-    metrics: dict, technique: str, fragment: str
-) -> ConfusionMatrix | None:
-    return confusion_from_store_keys(metrics, technique, fragment)
-
-
 def fairness_value(
     record: RunRecord, technique: str, group_key: str, metric: FairnessMetric
 ) -> float:
     """Evaluate a fairness metric from a record's stored counts."""
-    priv_fragment, dis_fragment = _group_fragments(group_key)
-    privileged = _confusion_from_metrics(record.metrics, technique, priv_fragment)
-    disadvantaged = _confusion_from_metrics(record.metrics, technique, dis_fragment)
+    priv_fragment, dis_fragment = group_key_fragments(group_key)
+    privileged = confusion_from_store_keys(record.metrics, technique, priv_fragment)
+    disadvantaged = confusion_from_store_keys(record.metrics, technique, dis_fragment)
     if privileged is None or disadvantaged is None:
         return float("nan")
     return metric(privileged, disadvantaged)
@@ -103,6 +98,14 @@ class ImpactMatrix:
         }
     )
 
+    @classmethod
+    def from_impacts(cls, impacts: list[ConfigurationImpact]) -> "ImpactMatrix":
+        """The matrix counting each classified configuration once."""
+        matrix = cls()
+        for impact in impacts:
+            matrix.add(impact.fairness_impact, impact.accuracy_impact)
+        return matrix
+
     def add(self, fairness: Impact, accuracy: Impact) -> None:
         """Count one configuration."""
         self.counts[(fairness, accuracy)] += 1
@@ -132,11 +135,56 @@ class ImpactMatrix:
 
 
 class ImpactAnalysis:
-    """Classifies configurations and aggregates them into matrices."""
+    """Classifies configurations and aggregates them into matrices.
+
+    Holds no state between calls: every query streams the store afresh
+    and reads the Bonferroni divisors when it runs.
+    """
 
     def __init__(self, store: ResultStore, alpha: float = 0.05) -> None:
         self.store = store
         self.alpha = alpha
+
+    def classify(
+        self,
+        error_type: str,
+        datasets: tuple[str, ...] | None = None,
+        models: tuple[str, ...] | None = None,
+    ) -> dict[tuple[str, bool], list[ConfigurationImpact]]:
+        """Classify every configuration of one error type in one pass.
+
+        Streams the error type's records once, one (dataset,
+        error_type) shard at a time, grouped by (detection, repair,
+        model). Returns one list per (metric name, intersectional) pair,
+        holding configurations in order of first appearance in store key
+        order, then group keys in sorted order; runs pair in key order.
+        """
+        n_hypotheses = HYPOTHESES_PER_ERROR_TYPE.get(error_type, 1)
+        impacts: dict[tuple[str, bool], list[ConfigurationImpact]] = {
+            (metric_name, intersectional): []
+            for intersectional in (False, True)
+            for metric_name in FAIRNESS_METRICS
+        }
+        shards = groupby(
+            self.store.records(error_type=error_type), key=attrgetter("dataset")
+        )
+        for dataset, shard in shards:
+            if datasets is not None and dataset not in datasets:
+                continue
+            configurations: dict[tuple[str, str, str], list[RunRecord]] = {}
+            for record in shard:
+                if models is None or record.model in models:
+                    key = (record.detection, record.repair, record.model)
+                    configurations.setdefault(key, []).append(record)
+            for records in configurations.values():
+                first = records[0]
+                for group_key in group_keys_in_metrics(first.metrics, first.repair):
+                    for metric_name in FAIRNESS_METRICS:
+                        impact = self._classify(
+                            records, group_key, metric_name, n_hypotheses
+                        )
+                        impacts[(metric_name, impact.intersectional)].append(impact)
+        return impacts
 
     def configuration_impacts(
         self,
@@ -156,39 +204,9 @@ class ImpactAnalysis:
                 instead of single-attribute ones.
             datasets / models: Optional filters.
         """
-        metric = FAIRNESS_METRICS[metric_name]
-        n_hypotheses = HYPOTHESES_PER_ERROR_TYPE.get(error_type, 1)
-        impacts = []
-        for dataset, detection, repair, model in self._configurations(
-            error_type, datasets, models
-        ):
-            records = list(
-                self.store.records(
-                    dataset=dataset,
-                    error_type=error_type,
-                    detection=detection,
-                    repair=repair,
-                    model=model,
-                )
-            )
-            if not records:
-                continue
-            for group_key in self._group_keys(records[0], repair, intersectional):
-                impacts.append(
-                    self._classify(
-                        records,
-                        dataset,
-                        group_key,
-                        metric_name,
-                        metric,
-                        model,
-                        error_type,
-                        detection,
-                        repair,
-                        n_hypotheses,
-                    )
-                )
-        return impacts
+        return self.classify(error_type, datasets, models)[
+            (metric_name, intersectional)
+        ]
 
     def matrix(
         self,
@@ -199,67 +217,24 @@ class ImpactAnalysis:
         models: tuple[str, ...] | None = None,
     ) -> ImpactMatrix:
         """The 3x3 contingency matrix over all configurations."""
-        matrix = ImpactMatrix()
-        for impact in self.configuration_impacts(
-            error_type, metric_name, intersectional, datasets, models
-        ):
-            matrix.add(impact.fairness_impact, impact.accuracy_impact)
-        return matrix
+        return ImpactMatrix.from_impacts(
+            self.configuration_impacts(
+                error_type, metric_name, intersectional, datasets, models
+            )
+        )
 
     # -- internals ---------------------------------------------------------
-
-    def _configurations(
-        self,
-        error_type: str,
-        datasets: tuple[str, ...] | None,
-        models: tuple[str, ...] | None,
-    ):
-        seen = set()
-        for record in self.store.records(error_type=error_type):
-            if datasets is not None and record.dataset not in datasets:
-                continue
-            if models is not None and record.model not in models:
-                continue
-            key = (record.dataset, record.detection, record.repair, record.model)
-            if key not in seen:
-                seen.add(key)
-                yield key
-
-    @staticmethod
-    def _group_keys(
-        record: RunRecord, repair: str, intersectional: bool
-    ) -> list[str]:
-        """Recover the group keys present in a record's metric keys."""
-        keys = set()
-        prefix = f"{repair}__"
-        for metric_key in record.metrics:
-            if not metric_key.startswith(prefix) or not metric_key.endswith("__tp"):
-                continue
-            fragment = metric_key[len(prefix) : -len("__tp")]
-            parts = fragment.split("__")
-            if len(parts) == 2 and all(part.endswith("_priv") for part in parts):
-                if intersectional:
-                    keys.add(
-                        parts[0][: -len("_priv")] + "_x_" + parts[1][: -len("_priv")]
-                    )
-            elif len(parts) == 1 and parts[0].endswith("_priv"):
-                if not intersectional:
-                    keys.add(parts[0][: -len("_priv")])
-        return sorted(keys)
 
     def _classify(
         self,
         records: list[RunRecord],
-        dataset: str,
         group_key: str,
         metric_name: str,
-        metric: FairnessMetric,
-        model: str,
-        error_type: str,
-        detection: str,
-        repair: str,
         n_hypotheses: int,
     ) -> ConfigurationImpact:
+        metric = FAIRNESS_METRICS[metric_name]
+        first = records[0]
+        repair = first.repair
         dirty_fairness = np.array(
             [fairness_value(r, "dirty", group_key, metric) for r in records]
         )
@@ -288,12 +263,12 @@ class ImpactAnalysis:
             n_hypotheses=n_hypotheses,
         )
         return ConfigurationImpact(
-            dataset=dataset,
+            dataset=first.dataset,
             group_key=group_key,
             metric_name=metric_name,
-            model=model,
-            error_type=error_type,
-            detection=detection,
+            model=first.model,
+            error_type=first.error_type,
+            detection=first.detection,
             repair=repair,
             fairness_impact=fairness_impact,
             accuracy_impact=accuracy_impact,

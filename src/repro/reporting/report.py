@@ -10,7 +10,7 @@ EXPERIMENTS.md workflow.
 from __future__ import annotations
 
 from repro.benchmark.deepdive import DeepDive
-from repro.benchmark.impact import ImpactAnalysis, ImpactMatrix
+from repro.benchmark.impact import ConfigurationImpact, ImpactAnalysis, ImpactMatrix
 from repro.benchmark.results import ResultStore
 from repro.reporting.tables import (
     render_case_counts,
@@ -36,6 +36,35 @@ TABLE_PLAN: tuple[tuple[str, str, str, bool], ...] = (
 )
 
 
+def study_impacts(
+    store: ResultStore,
+) -> list[tuple[str, str, str, bool, list[ConfigurationImpact]]]:
+    """Each :data:`TABLE_PLAN` row with its classified configurations.
+
+    Runs one :meth:`ImpactAnalysis.classify` pass per error type and
+    splits it over that error type's four tables, so no configuration
+    is classified twice. Table XIV's impacts are the single-attribute
+    rows concatenated in plan order.
+    """
+    analysis = ImpactAnalysis(store)
+    error_types = dict.fromkeys(row[1] for row in TABLE_PLAN)
+    folds = {error_type: analysis.classify(error_type) for error_type in error_types}
+    # a plan row is (number, error type, metric, intersectional)
+    return [(*row, folds[row[1]][row[2:]]) for row in TABLE_PLAN]
+
+
+def model_choice_impacts(
+    rows: list[tuple[str, str, str, bool, list[ConfigurationImpact]]],
+) -> list[ConfigurationImpact]:
+    """Table XIV's configurations: the single-attribute rows, in order."""
+    return [
+        impact
+        for *_, intersectional, impacts in rows
+        if not intersectional
+        for impact in impacts
+    ]
+
+
 def _matrix_headline(matrix: ImpactMatrix) -> str:
     """One-sentence summary of a 3x3 matrix's fairness margins."""
     if matrix.total == 0:
@@ -54,13 +83,13 @@ def _matrix_headline(matrix: ImpactMatrix) -> str:
 
 def build_study_report(store: ResultStore, title: str = "Study report") -> str:
     """Render a complete markdown report from a result store."""
-    analysis = ImpactAnalysis(store)
     sections = [f"# {title}", ""]
     sections.append(f"Result store: {len(store)} run records.")
     sections.append("")
 
-    for number, error_type, metric, intersectional in TABLE_PLAN:
-        matrix = analysis.matrix(error_type, metric, intersectional=intersectional)
+    rows = study_impacts(store)
+    for number, error_type, metric, intersectional, impacts in rows:
+        matrix = ImpactMatrix.from_impacts(impacts)
         if matrix.total == 0:
             continue
         group = "intersectional" if intersectional else "single-attribute"
@@ -77,12 +106,7 @@ def build_study_report(store: ResultStore, title: str = "Study report") -> str:
         sections.append(f"Headline: {_matrix_headline(matrix)}")
         sections.append("")
 
-    impacts = []
-    for error_type in ("missing_values", "outliers", "mislabels"):
-        for metric in ("PP", "EO"):
-            impacts.extend(
-                analysis.configuration_impacts(error_type, metric, intersectional=False)
-            )
+    impacts = model_choice_impacts(rows)
     if impacts:
         deepdive = DeepDive(impacts)
         sections.append("## Table XIV: model choice")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
 
 class Impact(enum.Enum):
@@ -35,6 +35,11 @@ def paired_t_test(baseline: np.ndarray, treated: np.ndarray) -> float:
 
     NaN pairs (which occur when a fairness metric is undefined on some
     run, e.g. no positive predictions in a group) are dropped.
+
+    The statistic is spelled out with the same numpy operations, in the
+    same order, as ``scipy.stats.ttest_rel(treated, baseline)`` (a
+    one-sample test of the differences), so the p-value is the same
+    float without scipy's per-call array-API dispatch (DESIGN §17).
     """
     baseline = np.asarray(baseline, dtype=np.float64)
     treated = np.asarray(treated, dtype=np.float64)
@@ -49,8 +54,13 @@ def paired_t_test(baseline: np.ndarray, treated: np.ndarray) -> float:
     differences = treated - baseline
     if np.allclose(differences, 0.0):
         return 1.0
-    result = scipy_stats.ttest_rel(treated, baseline)
-    p_value = float(result.pvalue)
+    n = differences.size
+    mean = np.mean(differences)
+    centred = differences - np.mean(differences, keepdims=True)
+    variance = np.mean(centred**2) * (n / (n - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.divide(mean, np.sqrt(variance / n))
+    p_value = float(2 * special.stdtr(n - 1, -np.abs(t)))
     return 1.0 if np.isnan(p_value) else p_value
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.benchmark import ImpactAnalysis, ResultStore, RunRecord
+from repro.benchmark import impact as impact_module
 from repro.benchmark.impact import fairness_value
 from repro.fairness.metrics import predictive_parity
 from repro.stats.impact import Impact
@@ -142,3 +143,53 @@ def test_n_runs_recorded():
         "missing_values", "PP", intersectional=False
     )
     assert impact.n_runs == 7
+
+
+def test_reused_analysis_sees_records_added_between_calls():
+    """No memo may survive a call: the second query sees the new record."""
+    store = build_store(n=3)
+    analysis = ImpactAnalysis(store)
+    (before,) = analysis.configuration_impacts(
+        "missing_values", "PP", intersectional=False
+    )
+    counts = ((50, 10, 5, 40), (50, 10, 5, 40))
+    store.add(make_record(3, counts, counts, 0.7, 0.7))
+    (after,) = analysis.configuration_impacts(
+        "missing_values", "PP", intersectional=False
+    )
+    assert (before.n_runs, after.n_runs) == (3, 4)
+
+
+def test_reused_analysis_reads_bonferroni_divisor_per_call(monkeypatch):
+    """A patched divisor (the Bonferroni ablation) applies to the next call."""
+    store = ResultStore()
+    gains = (0.02, 0.01, 0.0, 0.015, 0.03, 0.005)  # paired p ~ .029
+    counts = ((50, 10, 5, 40), (50, 10, 5, 40))
+    for repetition, gain in enumerate(gains):
+        store.add(make_record(repetition, counts, counts, 0.7, 0.7 + gain))
+    analysis = ImpactAnalysis(store)
+
+    def accuracy_impact():
+        (impact,) = analysis.configuration_impacts(
+            "missing_values", "PP", intersectional=False
+        )
+        return impact.accuracy_impact
+
+    assert accuracy_impact() is Impact.INSIGNIFICANT  # .029 >= .05 / 6
+    monkeypatch.setattr(
+        impact_module,
+        "HYPOTHESES_PER_ERROR_TYPE",
+        {**impact_module.HYPOTHESES_PER_ERROR_TYPE, "missing_values": 1},
+    )
+    assert accuracy_impact() is Impact.BETTER  # .029 < .05
+
+
+def test_classify_splits_one_pass_over_metric_and_group_kind():
+    store = build_store(n=4)
+    analysis = ImpactAnalysis(store)
+    lists = analysis.classify("missing_values")
+    assert sorted(lists) == [("EO", False), ("EO", True), ("PP", False), ("PP", True)]
+    for (metric_name, intersectional), impacts in lists.items():
+        assert impacts == analysis.configuration_impacts(
+            "missing_values", metric_name, intersectional
+        )

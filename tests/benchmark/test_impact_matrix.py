@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.benchmark.impact import (
-    ConfigurationImpact,
-    ImpactMatrix,
-    _group_fragments,
-)
+from repro.benchmark.impact import ConfigurationImpact, ImpactMatrix
+from repro.fairness.confusion import group_key_fragments
 from repro.stats.impact import Impact
 
 
@@ -58,16 +55,25 @@ def test_matrix_fraction():
     assert matrix.fraction(Impact.WORSE, Impact.WORSE) == pytest.approx(0.5)
 
 
+def test_matrix_from_impacts_counts_each_configuration():
+    matrix = ImpactMatrix.from_impacts(
+        [make_impact(), make_impact(), make_impact(Impact.WORSE, Impact.BETTER)]
+    )
+    assert matrix.count(Impact.BETTER, Impact.WORSE) == 2
+    assert matrix.count(Impact.WORSE, Impact.BETTER) == 1
+    assert matrix.total == 3
+
+
 def test_matrix_fraction_empty_is_nan():
     assert np.isnan(ImpactMatrix().fraction(Impact.WORSE, Impact.WORSE))
 
 
 def test_group_fragments_single():
-    assert _group_fragments("sex") == ("sex_priv", "sex_dis")
+    assert group_key_fragments("sex") == ("sex_priv", "sex_dis")
 
 
 def test_group_fragments_intersectional():
-    assert _group_fragments("sex_x_age") == (
+    assert group_key_fragments("sex_x_age") == (
         "sex_priv__age_priv",
         "sex_dis__age_dis",
     )

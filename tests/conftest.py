@@ -59,3 +59,18 @@ def pytest_collection_modifyitems(config, items):
         for item in items:
             if item.get_closest_marker(marker) is not None:
                 item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def rq2_stores(tmp_path_factory):
+    """Sharded copies of the stores the rendered RQ2 goldens pin, by name.
+
+    Migrating the committed legacy study store takes about a second, so
+    the copies are made once per session and shared read-only.
+    """
+    from tests.identity.golden_report.regenerate import SOURCES, open_copy
+
+    return {
+        name: open_copy(source, tmp_path_factory.mktemp(name))
+        for name, source in SOURCES.items()
+    }

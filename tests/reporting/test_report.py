@@ -4,6 +4,8 @@ import pytest
 
 from repro.benchmark import ExperimentRunner, ResultStore, StudyConfig
 from repro.reporting import build_study_report
+from repro.reporting.report import study_impacts
+from repro.stats import impact as impact_module
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +40,19 @@ def test_empty_store_report():
     report = build_study_report(ResultStore(), title="Empty")
     assert report.startswith("# Empty")
     assert "## Table" not in report
+
+
+def test_report_classifies_each_configuration_once(mini_store, monkeypatch):
+    configurations = sum(len(impacts) for *_, impacts in study_impacts(mini_store))
+    calls = []
+    original = impact_module.paired_t_test
+
+    def counted(baseline, treated):
+        calls.append(1)
+        return original(baseline, treated)
+
+    monkeypatch.setattr(impact_module, "paired_t_test", counted)
+    build_study_report(mini_store)
+    # one fairness and one accuracy test per configuration; Table XIV
+    # reuses the single-attribute classifications
+    assert len(calls) == 2 * configurations

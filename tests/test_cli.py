@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from tests.identity.golden_report.regenerate import CLI_STUDY_ARGS, CLI_TABLES
 
 
 def test_datasets_command(capsys):
@@ -29,21 +30,7 @@ def test_rq1_intersectional(capsys):
 
 def test_study_and_tables_roundtrip(tmp_path, capsys):
     store_path = str(tmp_path / "store.json")
-    code = main(
-        [
-            "study",
-            "--store",
-            store_path,
-            "--dataset",
-            "german",
-            "--error-type",
-            "mislabels",
-            "--n-sample",
-            "300",
-            "--repetitions",
-            "2",
-        ]
-    )
+    code = main(["study", "--store", store_path, *CLI_STUDY_ARGS])
     assert code == 0
     out = capsys.readouterr().out
     assert "german/mislabels: +" in out
@@ -52,6 +39,8 @@ def test_study_and_tables_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "TABLE X:" in out
     assert "TABLE XIV" in out
+    # byte for byte the pinned golden (tests/identity/golden_report/)
+    assert out == CLI_TABLES.read_text()
 
 
 def test_study_with_workers(tmp_path, capsys):
