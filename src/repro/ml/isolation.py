@@ -10,8 +10,6 @@ scikit-learn's contamination semantics used in the paper (0.01).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.ml.base import BaseEstimator
@@ -27,110 +25,88 @@ def _average_path_length(n: float) -> float:
     return 2.0 * harmonic - 2.0 * (n - 1.0) / n
 
 
-@dataclass
-class _ITreeNode:
-    feature: int
-    threshold: float
-    size: int
-    left: "_ITreeNode | None" = None
-    right: "_ITreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-def _build_itree(
-    X: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator
-) -> _ITreeNode:
-    n = X.shape[0]
-    if depth >= max_depth or n <= 1:
-        return _ITreeNode(feature=-1, threshold=0.0, size=n)
-    spans = X.max(axis=0) - X.min(axis=0)
-    splittable = np.nonzero(spans > 0)[0]
-    if splittable.size == 0:
-        return _ITreeNode(feature=-1, threshold=0.0, size=n)
-    feature = int(rng.choice(splittable))
-    low, high = X[:, feature].min(), X[:, feature].max()
-    threshold = float(rng.uniform(low, high))
-    goes_left = X[:, feature] < threshold
-    return _ITreeNode(
-        feature=feature,
-        threshold=threshold,
-        size=n,
-        left=_build_itree(X[goes_left], depth + 1, max_depth, rng),
-        right=_build_itree(X[~goes_left], depth + 1, max_depth, rng),
-    )
+#: The splittable features of a node that must be a leaf.
+_NO_FEATURES = np.empty(0, dtype=np.intp)
 
 
 class _FlatTree:
-    """An isolation tree flattened to struct-of-arrays for traversal.
+    """An isolation tree as struct-of-arrays, built in preorder.
 
     Node ``i`` is internal iff ``feature[i] >= 0``; its children are
     ``left[i]``/``right[i]``. For leaves, ``leaf_value[i]`` holds the
-    fully-resolved path length ``depth + c(size)`` — precomputed with
-    the same scalar addition the recursive walk performed, so scores
-    are bit-identical to a pointer-chasing descent.
+    fully-resolved path length ``depth + c(size)``.
+
+    The build runs on a ``(features × rows)`` subsample with an
+    explicit stack. Nodes pop in preorder (root, whole left subtree,
+    right subtree), so the RNG draws come in the order a recursive
+    descent makes them (DESIGN §18).
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf_value")
 
-    def __init__(self, root: _ITreeNode) -> None:
+    def __init__(
+        self, XT: np.ndarray, max_depth: int, rng: np.random.Generator
+    ) -> None:
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
         right: list[int] = []
         leaf_value: list[float] = []
-        # preorder walk assigning indices; stack holds (node, depth)
-        stack: list[tuple[_ITreeNode, int, int]] = [(root, 0, -1)]
-        # (node, depth, parent slot): parent slot >= 0 patches right[]
+        # (node columns, depth, parent slot): parent slot >= 0 patches right[]
+        stack: list[tuple[np.ndarray, int, int]] = [(XT, 0, -1)]
         while stack:
             node, depth, patch = stack.pop()
             index = len(feature)
             if patch >= 0:
                 right[patch] = index
-            if node.is_leaf:
+            size = node.shape[1]
+            splittable = _NO_FEATURES
+            if depth < max_depth and size > 1:
+                high = node.max(axis=1)
+                low = node.min(axis=1)
+                splittable = np.flatnonzero((high - low) > 0)
+            if splittable.size == 0:
                 feature.append(-1)
                 threshold.append(0.0)
                 left.append(-1)
                 right.append(-1)
-                leaf_value.append(depth + _average_path_length(node.size))
-            else:
-                assert node.left is not None and node.right is not None
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                left.append(index + 1)  # preorder: left child is next
-                right.append(-1)  # patched when the right child is emitted
-                leaf_value.append(0.0)
-                stack.append((node.right, depth + 1, index))
-                stack.append((node.left, depth + 1, -1))
+                leaf_value.append(depth + _average_path_length(size))
+                continue
+            f = int(splittable[rng.integers(0, splittable.size)])
+            cut = float(rng.uniform(low[f], high[f]))
+            goes_left = node[f] < cut
+            feature.append(f)
+            threshold.append(cut)
+            left.append(index + 1)  # preorder: left child is next
+            right.append(-1)  # patched when the right child is emitted
+            leaf_value.append(0.0)
+            stack.append((node.compress(~goes_left, axis=1), depth + 1, index))
+            stack.append((node.compress(goes_left, axis=1), depth + 1, -1))
         self.feature = np.array(feature, dtype=np.int32)
         self.threshold = np.array(threshold, dtype=np.float64)
         self.left = np.array(left, dtype=np.int32)
         self.right = np.array(right, dtype=np.int32)
         self.leaf_value = np.array(leaf_value, dtype=np.float64)
 
-    def path_lengths(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Iterative batch descent over the flattened arrays.
+    def path_lengths(self, XT: np.ndarray, out: np.ndarray) -> None:
+        """Route every column of ``XT`` to its leaf; write path lengths.
 
-        An explicit worklist replaces the recursive partitioning: each
-        entry routes a whole row batch through one node with a single
-        column compare, so no Python recursion (or per-leaf
-        ``_average_path_length`` recomputation) happens on the hot
-        scoring path.
+        An explicit worklist routes a whole row batch through one node
+        with a single compare on that feature's contiguous row of
+        ``XT``.
         """
         feature, threshold = self.feature, self.threshold
         left, right, leaf_value = self.left, self.right, self.leaf_value
-        stack = [(0, np.arange(X.shape[0]))]
+        stack = [(0, np.arange(XT.shape[1]))]
         while stack:
             index, rows = stack.pop()
             f = feature[index]
             if f < 0:
                 out[rows] = leaf_value[index]
                 continue
-            goes_left = X[rows, f] < threshold[index]
-            stack.append((right[index], rows[~goes_left]))
-            stack.append((left[index], rows[goes_left]))
+            goes_left = XT[f].take(rows) < threshold[index]
+            stack.append((right[index], rows.compress(~goes_left)))
+            stack.append((left[index], rows.compress(goes_left)))
 
 
 class IsolationForest(BaseEstimator):
@@ -163,6 +139,7 @@ class IsolationForest(BaseEstimator):
         self.random_state = random_state
         self._trees: list[_FlatTree] = []
         self._subsample_size: int = 0
+        self.n_features_in_: int = 0
         self.threshold_: float | None = None
 
     def fit(self, X: np.ndarray) -> "IsolationForest":
@@ -171,16 +148,16 @@ class IsolationForest(BaseEstimator):
             raise ValueError(f"X must be a non-empty 2-d array, got shape {X.shape}")
         if np.isnan(X).any():
             raise ValueError("X contains NaN; isolation forest needs complete rows")
+        XT = np.ascontiguousarray(X.T)
         rng = np.random.default_rng(self.random_state)
+        self.n_features_in_ = X.shape[1]
         self._subsample_size = min(self.max_samples, X.shape[0])
         max_depth = int(np.ceil(np.log2(max(2, self._subsample_size))))
         self._trees = []
         for __ in range(self.n_estimators):
             rows = rng.choice(X.shape[0], size=self._subsample_size, replace=False)
-            # recursive build keeps the historical RNG stream; the node
-            # tree is flattened immediately and discarded
-            self._trees.append(_FlatTree(_build_itree(X[rows], 0, max_depth, rng)))
-        scores = self.score_samples(X)
+            self._trees.append(_FlatTree(XT.take(rows, axis=1), max_depth, rng))
+        scores = self._scores(XT)
         # contamination-quantile threshold, as in scikit-learn
         self.threshold_ = float(
             np.quantile(scores, 1.0 - self.contamination, method="lower")
@@ -192,10 +169,20 @@ class IsolationForest(BaseEstimator):
         if not self._trees:
             raise RuntimeError("IsolationForest is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        depths = np.zeros(X.shape[0], dtype=np.float64)
-        buffer = np.empty(X.shape[0], dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
+            raise ValueError(
+                f"X must have shape (n, {self.n_features_in_}), got {X.shape}"
+            )
+        if np.isnan(X).any():
+            raise ValueError("X contains NaN; isolation forest scores complete rows")
+        return self._scores(np.ascontiguousarray(X.T))
+
+    def _scores(self, XT: np.ndarray) -> np.ndarray:
+        """Scores of the columns of ``XT``, trees accumulated in fit order."""
+        depths = np.zeros(XT.shape[1], dtype=np.float64)
+        buffer = np.empty(XT.shape[1], dtype=np.float64)
         for tree in self._trees:
-            tree.path_lengths(X, buffer)
+            tree.path_lengths(XT, buffer)
             depths += buffer
         mean_depth = depths / len(self._trees)
         normaliser = _average_path_length(self._subsample_size)

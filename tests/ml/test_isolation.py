@@ -77,22 +77,41 @@ def test_small_dataset_does_not_crash():
     assert forest.score_samples(X).shape == (3,)
 
 
+def test_score_samples_rejects_nan():
+    X, __ = make_data_with_outliers(n=50)
+    forest = IsolationForest(n_estimators=5, random_state=0).fit(X)
+    bad = X.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        forest.score_samples(bad)
+    with pytest.raises(ValueError, match="NaN"):
+        forest.predict_outliers(bad)
+
+
+def test_score_samples_rejects_column_mismatch():
+    X, __ = make_data_with_outliers(n=50)
+    forest = IsolationForest(n_estimators=5, random_state=0).fit(X)
+    assert forest.n_features_in_ == 2
+    wider = np.hstack([X, X[:, :1]])
+    with pytest.raises(ValueError, match="shape"):
+        forest.score_samples(wider)
+    with pytest.raises(ValueError, match="shape"):
+        forest.score_samples(X[:, :1])
+    with pytest.raises(ValueError, match="shape"):
+        forest.score_samples(X[0])
+
+
 def test_flat_walk_matches_recursive_reference():
     """The struct-of-arrays traversal must be bit-identical to a
     pointer-chasing recursive descent of the same trees."""
     from repro.ml.isolation import (
         IsolationForest as Forest,
         _average_path_length,
-        _build_itree,
     )
-
-    def recursive_path_lengths(node, X, rows, depth, out):
-        if node.is_leaf:
-            out[rows] = depth + _average_path_length(node.size)
-            return
-        goes_left = X[rows, node.feature] < node.threshold
-        recursive_path_lengths(node.left, X, rows[goes_left], depth + 1, out)
-        recursive_path_lengths(node.right, X, rows[~goes_left], depth + 1, out)
+    from tests.ml.isolation_reference import (
+        _build_itree,
+        recursive_path_lengths,
+    )
 
     X, __ = make_data_with_outliers(n=400, seed=7)
     n_trees, sub, seed = 15, 64, 11
